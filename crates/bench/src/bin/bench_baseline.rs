@@ -23,6 +23,9 @@
 //!                           #   + BENCH_dpqa.json in CWD
 //! bench_baseline --check    # fresh run, compare against the committed files
 //! ```
+//!
+//! Any other argument prints usage and exits 2 without running, so a
+//! mistyped `--check` can never re-record the baselines.
 
 use std::process::ExitCode;
 use std::time::Instant;
@@ -92,8 +95,26 @@ struct DpqaRow {
     wall_ms: f64,
 }
 
+const USAGE: &str = "usage: bench_baseline [--check]
+  (no flags)  re-record BENCH_mapper.json, BENCH_sim.json and BENCH_dpqa.json in CWD
+  --check     fresh run, compare against the committed files
+  --help      print this message";
+
 fn main() -> ExitCode {
-    let check = std::env::args().any(|a| a == "--check");
+    let mut check = false;
+    for arg in std::env::args().skip(1) {
+        match arg.as_str() {
+            "--check" => check = true,
+            "--help" => {
+                println!("{USAGE}");
+                return ExitCode::SUCCESS;
+            }
+            other => {
+                eprintln!("bench_baseline: unknown argument '{other}'\n{USAGE}");
+                return ExitCode::from(2);
+            }
+        }
+    }
     let (mapper_rows, portfolio_row) = run_mapper_suite();
     let sim_rows = run_sim_kernels();
     let dpqa_row = run_dpqa_suite();

@@ -11,7 +11,10 @@
 //! ```text
 //! portfolio_calibrate            # re-record CALIBRATION_portfolio.json in CWD
 //! portfolio_calibrate --check    # fresh sweep, compare against the committed file
+//! portfolio_calibrate --dump     # print the training rows as CSV
 //! ```
+//!
+//! Any other argument prints usage and exits 2 without running.
 //!
 //! The winning thresholds are baked into
 //! `qcs_core::portfolio::SelectorThresholds::default()`; a repo-level
@@ -47,10 +50,30 @@ struct TrainingRow {
     wall_micros: Vec<u64>,
 }
 
+const USAGE: &str = "usage: portfolio_calibrate [--check | --dump]
+  (no flags)  re-record CALIBRATION_portfolio.json in CWD
+  --check     fresh sweep, compare against the committed file
+  --dump      print the training rows as CSV and exit
+  --help      print this message";
+
 fn main() -> ExitCode {
-    let check = std::env::args().any(|a| a == "--check");
+    let (mut check, mut dump) = (false, false);
+    for arg in std::env::args().skip(1) {
+        match arg.as_str() {
+            "--check" => check = true,
+            "--dump" => dump = true,
+            "--help" => {
+                println!("{USAGE}");
+                return ExitCode::SUCCESS;
+            }
+            other => {
+                eprintln!("portfolio_calibrate: unknown argument '{other}'\n{USAGE}");
+                return ExitCode::from(2);
+            }
+        }
+    }
     let rows = sweep();
-    if std::env::args().any(|a| a == "--dump") {
+    if dump {
         println!("asp,max_degree,min_degree,adjacency_std,swaps_trivial,swaps_lookahead,swaps_sabre,oracle");
         for r in &rows {
             println!(

@@ -58,13 +58,13 @@ pub trait Backend: Send + Sync {
     /// unsatisfiable on the target.
     fn map(&self, circuit: &Circuit, config: &MapperConfig) -> Result<MapOutcome, LadderError>;
 
-    /// Compiles `circuit` with *exactly* the given pipeline — no
-    /// internal fallback chain — verification on. The racing
-    /// portfolio ([`crate::portfolio`]) runs its lanes through this
-    /// so a failing lane is genuinely discarded (and another lane's
-    /// result kept) instead of being silently demoted inside the
-    /// backend; the default forwards to [`Backend::map`] for
-    /// backends whose physics has no per-strategy ladder to bypass.
+    /// Compiles `circuit` as one lane of the racing portfolio
+    /// ([`crate::portfolio`]), verification on. [`CoupledBackend`] runs
+    /// *exactly* the given pipeline, so a failing lane is discarded
+    /// instead of demoted inside the backend. The default forwards to
+    /// [`Backend::map`], fallback included: on `qcs-dpqa`'s
+    /// `DpqaBackend`, which keeps it, a lane runs the whole movement →
+    /// SWAP list for its pipeline.
     ///
     /// # Errors
     ///

@@ -4,18 +4,19 @@
 //! its *optimality*, never its *answer*. [`FallbackLadder`] wraps an
 //! ordered chain of [`MapperConfig`] rungs — typically the requested
 //! pipeline, then `sabre`, then `subgraph`, then `trivial` — and runs
-//! them in order until one produces a result that also passes
-//! independent verification ([`crate::verify`]). A rung is demoted on:
+//! them as a [`lanes::sequential`] list until one produces a result that
+//! also passes independent verification ([`crate::verify`]). A rung is
+//! demoted on:
 //!
 //! * a structured [`MapError`] (including injected failpoint errors),
-//! * a **panic** anywhere in that rung's pipeline (caught with
-//!   `catch_unwind`; the ladder's data is all freshly owned per rung, so
-//!   unwinding cannot leave shared state behind), or
-//! * a [`VerifyError`] from post-compilation verification.
+//! * a **panic** anywhere in that rung's pipeline, verification
+//!   included (isolated by the executor), or
+//! * a [`VerifyError`](crate::verify::VerifyError) from
+//!   post-compilation verification.
 //!
 //! The one exception is [`MapError::Unsatisfiable`]: that is a property
-//! of the (degraded) device, not of the strategy, so the ladder stops
-//! immediately rather than burning every rung on an impossible job.
+//! of the (degraded) device, not of the strategy, so the rung stops the
+//! run rather than burning every rung on an impossible job.
 //!
 //! The serving rung is recorded in the outcome's report
 //! ([`MapReport::fallback_rung`](crate::mapper::MapReport::fallback_rung)
@@ -23,12 +24,11 @@
 //! passed, so callers and cached results always name the pipeline that
 //! actually produced them.
 
-use std::panic::{catch_unwind, AssertUnwindSafe};
-
 use qcs_circuit::circuit::Circuit;
 use qcs_topology::device::Device;
 
 use crate::config::MapperConfig;
+use crate::lanes::{self, Lane, LaneFailure, LaneResult};
 use crate::mapper::{MapError, MapOutcome};
 use crate::verify::{verify_outcome, VerifyConfig};
 
@@ -169,75 +169,55 @@ impl FallbackLadder {
     /// [`LadderError`] when every rung failed, a rung found the job
     /// unsatisfiable on the device, or a rung's config is invalid.
     pub fn map(&self, circuit: &Circuit, device: &Device) -> Result<MapOutcome, LadderError> {
-        let mut attempts = Vec::new();
-        for (rung, config) in self.rungs.iter().enumerate() {
-            let demote = |error: String, attempts: &mut Vec<LadderAttempt>| {
-                attempts.push(LadderAttempt {
-                    placer: config.placer.clone(),
-                    router: config.router.clone(),
-                    error,
-                });
-            };
-            let mapper = match config.build() {
-                Ok(mapper) => mapper,
-                Err(e) => {
-                    demote(e.to_string(), &mut attempts);
-                    continue;
-                }
-            };
-            // Panic isolation per rung: a panicking strategy (bug or
-            // armed failpoint) demotes to the next rung. Everything the
-            // closure touches is owned by this rung, so the unwind
-            // leaves no broken state behind.
-            let result = catch_unwind(AssertUnwindSafe(|| mapper.map(circuit, device)));
-            let mut outcome = match result {
-                Ok(Ok(outcome)) => outcome,
-                Ok(Err(MapError::Unsatisfiable(reason))) => {
-                    demote(reason.to_string(), &mut attempts);
-                    return Err(LadderError {
-                        attempts,
-                        unsatisfiable: true,
-                    });
-                }
-                Ok(Err(e)) => {
-                    demote(e.to_string(), &mut attempts);
-                    continue;
-                }
-                Err(panic) => {
-                    demote(
-                        format!("panicked: {}", panic_message(panic.as_ref())),
-                        &mut attempts,
-                    );
-                    continue;
-                }
-            };
-            if let Some(verify_config) = &self.verify {
-                match verify_outcome(circuit, &outcome, device, verify_config) {
-                    Ok(_) => outcome.report.verified = true,
-                    Err(e) => {
-                        demote(format!("verification failed: {e}"), &mut attempts);
-                        continue;
-                    }
-                }
-            }
-            outcome.report.fallback_rung = rung;
-            return Ok(outcome);
-        }
-        Err(LadderError {
-            attempts,
-            unsatisfiable: false,
+        let (rung, mut outcome) = lanes::sequential(self.lanes(circuit, device))?;
+        outcome.report.fallback_rung = rung;
+        Ok(outcome)
+    }
+
+    /// The rungs as executor lanes, for callers that run them after
+    /// lanes of their own (the DPQA backend's movement rungs).
+    pub fn lanes<'a>(
+        &'a self,
+        circuit: &'a Circuit,
+        device: &'a Device,
+    ) -> impl Iterator<Item = Lane<'a, MapOutcome>> + 'a {
+        self.rungs.iter().map(move |config| {
+            Lane::new(&config.placer, &config.router, move || {
+                self.run_rung(config, circuit, device)
+            })
         })
     }
-}
 
-/// Renders a caught panic payload into a one-line message.
-fn panic_message(panic: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = panic.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = panic.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_string()
+    /// One rung: build the pipeline, map, verify.
+    fn run_rung(
+        &self,
+        config: &MapperConfig,
+        circuit: &Circuit,
+        device: &Device,
+    ) -> LaneResult<MapOutcome> {
+        let mapper = config
+            .build()
+            .map_err(|e| LaneFailure::Demote(e.to_string()))?;
+        let mut outcome = match mapper.map(circuit, device) {
+            Ok(outcome) => outcome,
+            Err(MapError::Unsatisfiable(reason)) => {
+                return Err(LaneFailure::Stop(LadderError {
+                    attempts: vec![LadderAttempt {
+                        placer: config.placer.clone(),
+                        router: config.router.clone(),
+                        error: reason.to_string(),
+                    }],
+                    unsatisfiable: true,
+                }))
+            }
+            Err(e) => return Err(LaneFailure::Demote(e.to_string())),
+        };
+        if let Some(verify_config) = &self.verify {
+            verify_outcome(circuit, &outcome, device, verify_config)
+                .map_err(|e| LaneFailure::Demote(format!("verification failed: {e}")))?;
+            outcome.report.verified = true;
+        }
+        Ok(outcome)
     }
 }
 

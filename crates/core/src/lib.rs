@@ -41,6 +41,8 @@
 //! * [`place_subgraph`] — exact subgraph-isomorphism placement (refs
 //!   \[41\]/\[42\]) with greedy fallback;
 //! * [`place_sabre`] — SABRE-style forward/backward placement refinement;
+//! * [`lanes`] — the strategy executor the ladder, the portfolio and
+//!   the DPQA backend all run on;
 //! * [`portfolio`] — the metric-driven strategy selector and
 //!   deadline-bounded racing engine that put the Section IV analysis
 //!   on the serving path.
@@ -68,6 +70,7 @@ pub mod config;
 pub mod error;
 pub mod fidelity;
 pub mod ladder;
+pub mod lanes;
 pub mod layout;
 pub mod mapper;
 pub mod place;

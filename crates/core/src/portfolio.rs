@@ -14,28 +14,31 @@
 //!   thresholds calibrated offline from the committed 200-circuit
 //!   training sweep (`CALIBRATION_portfolio.json`, re-derivable with
 //!   the `portfolio_calibrate` bench bin); and
-//! * a deadline-bounded racing engine ([`Portfolio::map`]) that, when
-//!   the selector is unconfident and the remaining budget allows,
-//!   races lanes on threads with per-lane `catch_unwind` isolation,
-//!   cooperative cancellation of losers, and
+//! * a deadline-bounded degradation chain ([`Portfolio::map`]) built
+//!   from the [`lanes`] executor: when the selector is unconfident and
+//!   the remaining budget allows, lanes are raced (`lanes::race`) with
+//!   per-lane panic isolation, cooperative cancellation of losers, and
 //!   keep-best-*verified*-result semantics — a lane that panics,
 //!   exceeds the race budget, or fails [`crate::verify`] is simply
 //!   discarded.
 //!
 //! Degradation is graceful and total-ordered:
 //!
-//! 1. confident selector pick (panic-isolated; under a deadline it
-//!    gets at most half the remaining budget, so a hung primary lane
-//!    still leaves room to race the others);
+//! 1. confident selector pick (a one-lane [`lanes::sequential`] run;
+//!    under a deadline a one-lane race with at most half the remaining
+//!    budget, so a hung primary lane still leaves room to race the
+//!    others);
 //! 2. race the (remaining) lanes under the deadline budget;
-//! 3. the cheapest lane (`trivial/trivial`), run synchronously — this
-//!    is why a deadline that cold-racing cannot meet still returns a
-//!    *verified* trivial-strategy result instead of an error;
-//! 4. the existing [`FallbackLadder`].
+//! 3. the cheapest lane (`trivial/trivial`), a one-lane sequential run
+//!    — this is why a deadline that cold-racing cannot meet still
+//!    returns a *verified* trivial-strategy result instead of an error;
+//! 4. the backend's own lane list ([`Backend::map`], the standard
+//!    [`FallbackLadder`](crate::ladder::FallbackLadder) on fixed-coupler
+//!    devices).
 //!
 //! Failpoints: `mapper.select` fires at selector entry and
-//! `mapper.race.<lane>` at every lane launch (both the confident
-//! direct run and each raced lane), so the chaos suite can prove that
+//! `mapper.race.<lane>` at every lane launch (the confident direct
+//! run, each raced lane and the cheapest lane), so the chaos suite can prove that
 //! a panicking or hung selector/lane degrades with zero
 //! client-visible errors.
 //!
@@ -60,9 +63,8 @@
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{mpsc, Arc};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use qcs_circuit::circuit::Circuit;
@@ -72,6 +74,7 @@ use qcs_graph::metrics::GraphMetrics;
 use crate::backend::Backend;
 use crate::config::MapperConfig;
 use crate::ladder::{LadderAttempt, LadderError};
+use crate::lanes::{self, Lane, LaneFailure, LaneResult, RaceLane};
 use crate::mapper::MapOutcome;
 
 /// Placer/router value that requests metric-driven selection.
@@ -358,17 +361,21 @@ pub struct PortfolioReport {
     pub budget_limited: bool,
 }
 
-/// How one lane run ended, short of producing a verified outcome.
-enum LaneFailure {
-    /// The lane found the job unsatisfiable on the device — a device
-    /// property, so it short-circuits the whole portfolio.
-    Unsatisfiable(LadderError),
-    /// Strategy-local failure: error, panic, or failed verification.
-    Failed(String),
+impl PortfolioReport {
+    /// The report before any stage ran: no lane, no race, ladder mode.
+    fn fresh() -> Self {
+        PortfolioReport {
+            mode: PortfolioMode::Ladder,
+            lane: String::new(),
+            confident: false,
+            selector_failed: false,
+            raced: 0,
+            discarded: 0,
+            race_complete: true,
+            budget_limited: false,
+        }
+    }
 }
-
-/// One message from a raced lane thread.
-type LaneMessage = (usize, Result<Box<MapOutcome>, LaneFailure>);
 
 /// The portfolio engine: selector plus racing plus total-ordered
 /// graceful degradation. See the module docs for the exact order.
@@ -431,7 +438,9 @@ impl Portfolio {
         backend: &Arc<dyn Backend>,
         deadline: Option<Duration>,
     ) -> Result<(MapOutcome, PortfolioReport), LadderError> {
-        self.run(circuit, backend, deadline, false)
+        let mut report = PortfolioReport::fresh();
+        let outcome = self.run(circuit, backend, deadline, false, &mut report)?;
+        Ok((outcome, report))
     }
 
     /// Like [`Portfolio::map`], but always races every lane — the
@@ -450,7 +459,9 @@ impl Portfolio {
         backend: &Arc<dyn Backend>,
         deadline: Option<Duration>,
     ) -> Result<(MapOutcome, PortfolioReport), LadderError> {
-        self.run(circuit, backend, deadline, true)
+        let mut report = PortfolioReport::fresh();
+        let outcome = self.run(circuit, backend, deadline, true, &mut report)?;
+        Ok((outcome, report))
     }
 
     fn run(
@@ -459,33 +470,12 @@ impl Portfolio {
         backend: &Arc<dyn Backend>,
         deadline: Option<Duration>,
         force_race: bool,
-    ) -> Result<(MapOutcome, PortfolioReport), LadderError> {
+        report: &mut PortfolioReport,
+    ) -> Result<MapOutcome, LadderError> {
         let started = Instant::now();
-        let remaining = |deadline: Option<Duration>| -> Option<Duration> {
-            deadline.map(|d| d.saturating_sub(started.elapsed()))
-        };
-        let tight =
-            |rem: Option<Duration>| -> bool { rem.is_some_and(|r| r < self.min_race_budget) };
-
-        let mut report = PortfolioReport {
-            mode: PortfolioMode::Ladder,
-            lane: String::new(),
-            confident: false,
-            selector_failed: false,
-            raced: 0,
-            discarded: 0,
-            race_complete: true,
-            budget_limited: false,
-        };
+        let remaining = || deadline.map(|d| d.saturating_sub(started.elapsed()));
+        let tight = |rem: Option<Duration>| rem.is_some_and(|r| r < self.min_race_budget);
         let mut attempts: Vec<LadderAttempt> = Vec::new();
-        let demote = |lane: &str, error: String, attempts: &mut Vec<LadderAttempt>| {
-            let config = lane_config(lane).unwrap_or_default();
-            attempts.push(LadderAttempt {
-                placer: config.placer,
-                router: config.router,
-                error,
-            });
-        };
 
         // Stage 1: metric-driven selection, panic-isolated. A
         // panicking or error-injected selector is not an error — the
@@ -494,7 +484,7 @@ impl Portfolio {
         let selection = if force_race {
             None
         } else {
-            match catch_unwind(AssertUnwindSafe(|| self.selector.select(circuit))) {
+            match lanes::isolated(|| self.selector.select(circuit)) {
                 Ok(Ok(selection)) => Some(selection),
                 Ok(Err(_)) | Err(_) => {
                     report.selector_failed = true;
@@ -504,80 +494,50 @@ impl Portfolio {
         };
         report.confident = selection.as_ref().is_some_and(|s| s.confident);
 
-        let mut failed_lanes: Vec<&'static str> = Vec::new();
-        if let Some(selection) = &selection {
-            if selection.confident {
-                if tight(remaining(deadline)) {
-                    report.budget_limited = true;
-                } else {
-                    // The confident pick gets at most half the
-                    // remaining budget: a primary lane hung in an
-                    // armed delay failpoint (or simply pathological on
-                    // this circuit) must leave room to race the other
-                    // lanes instead of blowing the whole deadline.
-                    let budget = remaining(deadline).map(|r| r / 2);
-                    match run_lane_bounded(selection.lane, circuit, backend, budget) {
-                        Some(Ok(outcome)) => {
-                            report.mode = PortfolioMode::Selected;
-                            report.lane = selection.lane.to_string();
-                            return Ok((*outcome, report));
-                        }
-                        Some(Err(LaneFailure::Unsatisfiable(error))) => return Err(error),
-                        Some(Err(LaneFailure::Failed(error))) => {
-                            report.discarded += 1;
-                            demote(selection.lane, error, &mut attempts);
-                            failed_lanes.push(selection.lane);
-                        }
-                        None => {
-                            report.discarded += 1;
-                            report.budget_limited = true;
-                            demote(
-                                selection.lane,
-                                "did not report within the budget".to_string(),
-                                &mut attempts,
-                            );
-                            failed_lanes.push(selection.lane);
-                        }
-                    }
+        let mut failed_lane = None;
+        if let Some(selection) = selection.filter(|s| s.confident) {
+            if tight(remaining()) {
+                report.budget_limited = true;
+            } else {
+                // The confident pick gets at most half the remaining
+                // budget: a primary lane hung in an armed delay
+                // failpoint (or simply pathological on this circuit)
+                // must leave room to race the other lanes instead of
+                // blowing the whole deadline.
+                let budget = remaining().map(|r| r / 2);
+                let lane = selection.lane;
+                if let Some(outcome) = solo(lane, circuit, backend, budget, report, &mut attempts)?
+                {
+                    report.mode = PortfolioMode::Selected;
+                    report.lane = lane.to_string();
+                    return Ok(outcome);
                 }
+                failed_lane = Some(lane);
             }
         }
 
         // Stage 2: race the remaining lanes under the budget.
-        if tight(remaining(deadline)) {
+        if tight(remaining()) {
             report.budget_limited = true;
         } else {
             let lanes: Vec<&'static str> = LANES
                 .iter()
                 .copied()
-                .filter(|lane| !failed_lanes.contains(lane))
+                .filter(|&lane| Some(lane) != failed_lane)
                 .collect();
-            if !lanes.is_empty() {
-                match self.race(circuit, backend, &lanes, remaining(deadline), &mut report) {
-                    Ok(Some(outcome)) => {
-                        report.mode = PortfolioMode::Raced;
-                        return Ok((*outcome, report));
-                    }
-                    Ok(None) => {}
-                    Err(error) => return Err(error),
-                }
+            if let Some(outcome) = self.race(circuit, backend, &lanes, remaining(), report)? {
+                report.mode = PortfolioMode::Raced;
+                return Ok(outcome);
             }
         }
 
         // Stage 3: the cheapest lane, synchronously. This is the
         // guarantee that a deadline cold-racing cannot meet still
         // returns a verified trivial-strategy result.
-        match run_lane_caught("trivial", circuit, backend.as_ref(), None) {
-            Ok(outcome) => {
-                report.mode = PortfolioMode::Cheapest;
-                report.lane = "trivial".to_string();
-                return Ok((*outcome, report));
-            }
-            Err(LaneFailure::Unsatisfiable(error)) => return Err(error),
-            Err(LaneFailure::Failed(error)) => {
-                report.discarded += 1;
-                demote("trivial", error, &mut attempts);
-            }
+        if let Some(outcome) = solo("trivial", circuit, backend, None, report, &mut attempts)? {
+            report.mode = PortfolioMode::Cheapest;
+            report.lane = "trivial".to_string();
+            return Ok(outcome);
         }
 
         // Stage 4: the standard fallback ladder, exactly as a
@@ -586,29 +546,19 @@ impl Portfolio {
             Ok(outcome) => {
                 report.mode = PortfolioMode::Ladder;
                 report.lane = "ladder".to_string();
-                Ok((outcome, report))
+                Ok(outcome)
             }
             Err(mut error) => {
-                let mut all = attempts;
-                all.append(&mut error.attempts);
-                error.attempts = all;
+                attempts.append(&mut error.attempts);
+                error.attempts = attempts;
                 Err(error)
             }
         }
     }
 
-    /// Races `lanes` with per-lane panic isolation and cooperative
-    /// cancellation, returning the best verified result that reported
-    /// within `budget` (`None` budget waits for every lane).
-    ///
-    /// Best is the minimum of `(swaps_inserted, routed_gates, lane
-    /// cost order)` over verified lane outcomes — all deterministic
-    /// quantities, so a *complete* race has a deterministic winner.
-    ///
-    /// Lane threads are detached: a lane hung in an armed delay
-    /// failpoint (or simply slower than the budget) cannot hold the
-    /// serving thread hostage. Losers observe the shared cancel flag
-    /// at their next checkpoint and exit without reporting.
+    /// Races `lanes` through [`lanes::race`] and folds the result into
+    /// `report`, returning the best verified outcome (`None` when no
+    /// lane produced one within `budget`).
     fn race(
         &self,
         circuit: &Circuit,
@@ -616,90 +566,18 @@ impl Portfolio {
         lanes: &[&'static str],
         budget: Option<Duration>,
         report: &mut PortfolioReport,
-    ) -> Result<Option<Box<MapOutcome>>, LadderError> {
+    ) -> Result<Option<MapOutcome>, LadderError> {
         report.raced = lanes.len();
-        let cancel = Arc::new(AtomicBool::new(false));
-        let (tx, rx) = mpsc::channel::<LaneMessage>();
-        let mut handles = Vec::with_capacity(lanes.len());
-        for (index, lane) in lanes.iter().copied().enumerate() {
-            let tx = tx.clone();
-            let cancel = Arc::clone(&cancel);
-            let circuit = circuit.clone();
-            let backend = Arc::clone(backend);
-            handles.push(Some(std::thread::spawn(move || {
-                let result = run_lane_caught(lane, &circuit, backend.as_ref(), Some(&cancel));
-                if cancel.load(Ordering::Relaxed) {
-                    return; // Cancelled loser: stay silent.
-                }
-                let _ = tx.send((index, result));
-            })));
-        }
-        drop(tx);
-
-        let deadline_at = budget.map(|b| Instant::now() + b);
-        let mut best: Option<(usize, Box<MapOutcome>)> = None;
-        let mut reported = 0usize;
-        let mut unsatisfiable: Option<LadderError> = None;
-        while reported < lanes.len() {
-            let message = match deadline_at {
-                Some(at) => {
-                    let now = Instant::now();
-                    if now >= at {
-                        break;
-                    }
-                    match rx.recv_timeout(at - now) {
-                        Ok(message) => message,
-                        Err(_) => break,
-                    }
-                }
-                None => match rx.recv() {
-                    Ok(message) => message,
-                    Err(_) => break,
-                },
-            };
-            reported += 1;
-            let (index, result) = message;
-            if let Some(handle) = handles[index].take() {
-                // The lane sent its result as its last act; joining
-                // here is instantaneous and keeps threads accounted.
-                let _ = handle.join();
-            }
-            match result {
-                Ok(outcome) => {
-                    let better = match &best {
-                        None => true,
-                        Some((best_index, best_outcome)) => {
-                            let candidate = (
-                                outcome.report.swaps_inserted,
-                                outcome.report.routed_gates,
-                                index,
-                            );
-                            let incumbent = (
-                                best_outcome.report.swaps_inserted,
-                                best_outcome.report.routed_gates,
-                                *best_index,
-                            );
-                            candidate < incumbent
-                        }
-                    };
-                    if better {
-                        best = Some((index, outcome));
-                    }
-                }
-                Err(LaneFailure::Unsatisfiable(error)) => {
-                    report.discarded += 1;
-                    // Authoritative: no lane can fix a device-level
-                    // unsatisfiability. Stop listening, cancel, report.
-                    unsatisfiable = Some(error);
-                    break;
-                }
-                Err(LaneFailure::Failed(_)) => report.discarded += 1,
-            }
-        }
-        cancel.store(true, Ordering::Relaxed);
-        report.race_complete = reported == lanes.len();
-        report.discarded += lanes.len() - reported;
-        if let Some(error) = unsatisfiable {
+        let bodies = lanes
+            .iter()
+            .map(|&lane| race_lane(lane, circuit, backend))
+            .collect();
+        let race = lanes::race(bodies, budget);
+        report.race_complete = race.reported == lanes.len();
+        report.discarded += race.failures.len()
+            + usize::from(race.stopped.is_some())
+            + (lanes.len() - race.reported);
+        if let Some(error) = race.stopped {
             return Err(error);
         }
         if !report.race_complete {
@@ -707,111 +585,100 @@ impl Portfolio {
             // served next depends on wall-clock, not only on the job.
             report.budget_limited = true;
         }
-        if let Some((index, outcome)) = best {
+        Ok(race.best.map(|(index, outcome)| {
             report.lane = lanes[index].to_string();
-            return Ok(Some(outcome));
-        }
-        Ok(None)
+            outcome
+        }))
     }
 }
 
-/// Runs one lane under a budget. With no budget the lane runs
-/// synchronously on the calling thread (no spawn on the deterministic
-/// unbounded path). With a budget it runs on a detached thread and
-/// must report in time; a lane that does not is cancelled and `None`
-/// is returned, so deadline-boundedness holds even for the confident
-/// direct run — a hung lane cannot hold the request past its deadline.
-fn run_lane_bounded(
+/// Runs one lane on its own: a one-lane [`lanes::sequential`] run on
+/// the calling thread without a budget (no spawn on the deterministic
+/// unbounded path), a one-lane [`lanes::race`] with one, so even the
+/// confident direct run is deadline-bounded. `Ok(None)` means the lane
+/// was demoted: its failure is appended to `attempts` and counted as
+/// discarded, and a lane that did not report in time also marks the
+/// report budget-limited.
+fn solo(
     lane: &'static str,
     circuit: &Circuit,
     backend: &Arc<dyn Backend>,
     budget: Option<Duration>,
-) -> Option<Result<Box<MapOutcome>, LaneFailure>> {
-    let Some(budget) = budget else {
-        return Some(run_lane_caught(lane, circuit, backend.as_ref(), None));
-    };
-    let cancel = Arc::new(AtomicBool::new(false));
-    let (tx, rx) = mpsc::channel();
-    {
-        let cancel = Arc::clone(&cancel);
-        let circuit = circuit.clone();
-        let backend = Arc::clone(backend);
-        std::thread::spawn(move || {
-            let result = run_lane_caught(lane, &circuit, backend.as_ref(), Some(&cancel));
-            if cancel.load(Ordering::Relaxed) {
-                return; // Cancelled after timing out: stay silent.
+    report: &mut PortfolioReport,
+    attempts: &mut Vec<LadderAttempt>,
+) -> Result<Option<MapOutcome>, LadderError> {
+    let config = lane_config(lane).unwrap_or_default();
+    let served = match budget {
+        None => {
+            let run = || run_lane(lane, circuit, backend.as_ref(), None);
+            lanes::sequential([Lane::new(&config.placer, &config.router, run)])
+                .map(|(_, outcome)| outcome)
+        }
+        Some(budget) => {
+            let race = lanes::race(vec![race_lane(lane, circuit, backend)], Some(budget));
+            if let Some(error) = race.stopped {
+                return Err(error);
             }
-            let _ = tx.send(result);
-        });
-    }
-    match rx.recv_timeout(budget) {
-        Ok(result) => Some(result),
-        Err(_) => {
-            cancel.store(true, Ordering::Relaxed);
-            None
+            race.best.map(|(_, outcome)| outcome).ok_or_else(|| {
+                let error = race.failures.into_iter().next().unwrap_or_else(|| {
+                    report.budget_limited = true;
+                    "did not report within the budget".to_string()
+                });
+                LadderError {
+                    attempts: vec![LadderAttempt {
+                        placer: config.placer.clone(),
+                        router: config.router.clone(),
+                        error,
+                    }],
+                    unsatisfiable: false,
+                }
+            })
+        }
+    };
+    match served {
+        Ok(outcome) => Ok(Some(outcome)),
+        Err(error) if error.unsatisfiable => Err(error),
+        Err(mut error) => {
+            report.discarded += 1;
+            attempts.append(&mut error.attempts);
+            Ok(None)
         }
     }
 }
 
-/// Runs one lane with panic isolation: failpoint, then the backend's
-/// single-strategy pipeline (verification on). The `cancel` flag is
-/// checked at the lane checkpoints (entry and after the failpoint) so
-/// cancelled race losers stop doing work cooperatively.
-fn run_lane_caught(
-    lane: &'static str,
-    circuit: &Circuit,
-    backend: &dyn Backend,
-    cancel: Option<&AtomicBool>,
-) -> Result<Box<MapOutcome>, LaneFailure> {
-    let cancelled = || cancel.is_some_and(|c| c.load(Ordering::Relaxed));
-    if cancelled() {
-        return Err(LaneFailure::Failed("cancelled".to_string()));
-    }
-    match catch_unwind(AssertUnwindSafe(|| {
-        run_lane(lane, circuit, backend, cancel)
-    })) {
-        Ok(result) => result,
-        Err(panic) => Err(LaneFailure::Failed(format!(
-            "panicked: {}",
-            panic_message(panic.as_ref())
-        ))),
-    }
+/// A lane for [`lanes::race`]: owns its copy of the circuit and backend
+/// so it can outlive the caller.
+fn race_lane(lane: &'static str, circuit: &Circuit, backend: &Arc<dyn Backend>) -> RaceLane {
+    let circuit = circuit.clone();
+    let backend = Arc::clone(backend);
+    Box::new(move |cancel| run_lane(lane, &circuit, backend.as_ref(), Some(cancel)))
 }
 
 /// The lane body: `mapper.race.<lane>` failpoint, cancel checkpoint,
-/// then a single-rung verified compile via [`Backend::map_single`].
+/// then a single-lane verified compile via [`Backend::map_single`].
 fn run_lane(
     lane: &'static str,
     circuit: &Circuit,
     backend: &dyn Backend,
     cancel: Option<&AtomicBool>,
-) -> Result<Box<MapOutcome>, LaneFailure> {
+) -> LaneResult<MapOutcome> {
     if qcs_faults::any_armed() {
         if let qcs_faults::Hit::Error(message) = qcs_faults::hit(&format!("mapper.race.{lane}")) {
-            return Err(LaneFailure::Failed(message));
+            return Err(LaneFailure::Demote(message));
         }
     }
     if cancel.is_some_and(|c| c.load(Ordering::Relaxed)) {
-        return Err(LaneFailure::Failed("cancelled".to_string()));
+        return Err(LaneFailure::Demote("cancelled".to_string()));
     }
     let config = lane_config(lane)
         .unwrap_or_else(|| panic!("unknown portfolio lane {lane:?} (expected one of {LANES:?})"));
-    match backend.map_single(circuit, &config) {
-        Ok(outcome) => Ok(Box::new(outcome)),
-        Err(error) if error.unsatisfiable => Err(LaneFailure::Unsatisfiable(error)),
-        Err(error) => Err(LaneFailure::Failed(error.to_string())),
-    }
-}
-
-/// Renders a caught panic payload into a one-line message.
-fn panic_message(panic: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = panic.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = panic.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_string()
-    }
+    backend.map_single(circuit, &config).map_err(|error| {
+        if error.unsatisfiable {
+            LaneFailure::Stop(error)
+        } else {
+            LaneFailure::Demote(error.to_string())
+        }
+    })
 }
 
 #[cfg(test)]
@@ -918,13 +785,7 @@ mod tests {
         for _ in 0..3 {
             let mut report = PortfolioReport {
                 mode: PortfolioMode::Raced,
-                lane: String::new(),
-                confident: false,
-                selector_failed: false,
-                raced: 0,
-                discarded: 0,
-                race_complete: true,
-                budget_limited: false,
+                ..PortfolioReport::fresh()
             };
             let outcome = portfolio
                 .race(&circuit, &b, LANES, None, &mut report)
@@ -952,5 +813,52 @@ mod tests {
             .unwrap_err();
         assert!(!err.unsatisfiable);
         assert!(!err.attempts.is_empty());
+    }
+
+    #[test]
+    fn too_wide_circuits_pin_every_stage_of_the_degradation_chain() {
+        // No two-qubit gates: a confident trivial pick. It fails, the
+        // other two lanes race and fail (discarded, not recorded as
+        // attempts), the cheapest lane fails again, and the standard
+        // ladder's four rungs close the list.
+        let wide = Circuit::new(30);
+        let mut report = PortfolioReport::fresh();
+        let err = Portfolio::default()
+            .run(&wide, &backend(), None, false, &mut report)
+            .unwrap_err();
+        assert!(!err.unsatisfiable);
+        let lane = "all 1 ladder rungs failed: [0] trivial/trivial: placement failed: \
+                    circuit needs 30 qubits, device has 17";
+        let place = "placement failed: circuit needs 30 qubits, device has 17";
+        let expected = [
+            ("trivial", "trivial", lane),
+            ("trivial", "trivial", lane),
+            ("graph-similarity", "lookahead", place),
+            ("sabre", "lookahead", place),
+            ("subgraph", "lookahead", place),
+            ("trivial", "trivial", place),
+        ];
+        let got: Vec<(&str, &str, &str)> = err
+            .attempts
+            .iter()
+            .map(|a| (a.placer.as_str(), a.router.as_str(), a.error.as_str()))
+            .collect();
+        assert_eq!(got, expected);
+        assert!(err.to_string().starts_with(
+            "all 6 ladder rungs failed: [0] trivial/trivial: all 1 ladder rungs failed: "
+        ));
+        assert_eq!(
+            report,
+            PortfolioReport {
+                mode: PortfolioMode::Ladder,
+                lane: String::new(),
+                confident: true,
+                selector_failed: false,
+                raced: 2,
+                discarded: 4,
+                race_complete: true,
+                budget_limited: false,
+            }
+        );
     }
 }

@@ -365,16 +365,9 @@ fn check_equivalence(
             trial: failure.trial,
             fidelity: failure.fidelity,
         }),
-        Err(panic) => {
-            let message = if let Some(s) = panic.downcast_ref::<&str>() {
-                (*s).to_string()
-            } else if let Some(s) = panic.downcast_ref::<String>() {
-                s.clone()
-            } else {
-                "non-string panic payload".to_string()
-            };
-            Err(VerifyError::CheckPanicked(message))
-        }
+        Err(panic) => Err(VerifyError::CheckPanicked(crate::lanes::panic_message(
+            panic.as_ref(),
+        ))),
     }
 }
 

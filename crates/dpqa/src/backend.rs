@@ -1,20 +1,21 @@
 //! The DPQA compilation backend: movement first, SWAP routing as the
 //! demotion target.
 //!
-//! [`DpqaBackend`] implements [`Backend`] over a [`DpqaGrid`]. Its
-//! internal ladder runs *movement rungs* first — the requested placer,
-//! then the trivial placer — each producing a move schedule via
-//! [`crate::sched::plan_moves`] and passing independent verification
-//! with [`VerifyConfig::move_swaps`] enabled. A movement rung is
-//! demoted on any failure **including an unsatisfiable plan** (an
-//! over-full array is a property of the movement physics, not of the
-//! job: SWAP routing over the same interaction-radius graph may still
-//! succeed), after which the standard [`FallbackLadder`] takes over on
-//! the radius device. `fallback_rung` counts demoted movement rungs
-//! before the ladder's own, so rung 0 always means "the requested
-//! pipeline, movement included, served this".
+//! [`DpqaBackend`] implements [`Backend`] over a [`DpqaGrid`]. It runs
+//! one [`lanes::sequential`] list: *movement rungs* first — the
+//! requested placer, then the trivial placer — each producing a move
+//! schedule via [`crate::sched::plan_moves`] and passing independent
+//! verification with [`VerifyConfig::move_swaps`] enabled, followed by
+//! the standard [`FallbackLadder`]'s lanes on the radius device. A
+//! movement rung is demoted on any failure **including an
+//! unsatisfiable plan** (an over-full array is a property of the
+//! movement physics, not of the job: SWAP routing over the same
+//! interaction-radius graph may still succeed); only a SWAP rung's
+//! unsatisfiability stops the list. `fallback_rung` is the serving
+//! lane's index, so demoted movement rungs count before the ladder's
+//! own and rung 0 always means "the requested pipeline, movement
+//! included, served this".
 
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -23,7 +24,8 @@ use qcs_circuit::decompose::decompose_circuit;
 use qcs_core::backend::Backend;
 use qcs_core::config::{build_placer, MapperConfig};
 use qcs_core::fidelity::FidelityModel;
-use qcs_core::ladder::{FallbackLadder, LadderAttempt, LadderError};
+use qcs_core::ladder::{FallbackLadder, LadderError};
+use qcs_core::lanes::{self, Lane, LaneFailure};
 use qcs_core::mapper::{MapOutcome, MapReport, StageTiming};
 use qcs_core::schedule::{schedule_asap, ControlGroups};
 use qcs_core::verify::{verify_outcome, VerifyConfig};
@@ -98,55 +100,32 @@ impl DpqaBackend {
         circuit: &Circuit,
         config: &MapperConfig,
     ) -> Result<(MapOutcome, Option<MoveSchedule>), LadderError> {
-        let mut attempts: Vec<LadderAttempt> = Vec::new();
-        let mut placers = vec![config.placer.clone()];
-        if config.placer != "trivial" {
-            placers.push("trivial".to_string());
-        }
-        for placer in placers {
-            let rung = attempts.len();
-            let result = catch_unwind(AssertUnwindSafe(|| {
-                self.movement_rung(circuit, &placer, rung)
-            }));
-            match result {
-                Ok(Ok((outcome, schedule))) => return Ok((outcome, Some(schedule))),
-                Ok(Err(error)) => attempts.push(LadderAttempt {
-                    placer,
-                    router: MOVE_ROUTER.to_string(),
-                    error,
-                }),
-                Err(panic) => attempts.push(LadderAttempt {
-                    placer,
-                    router: MOVE_ROUTER.to_string(),
-                    error: format!("panicked: {}", panic_message(panic.as_ref())),
-                }),
-            }
-        }
+        let trivial = (config.placer != "trivial").then_some("trivial");
+        let placers = std::iter::once(config.placer.as_str()).chain(trivial);
+        let movement = placers.map(|placer| {
+            Lane::new(placer, MOVE_ROUTER, move || {
+                self.movement_rung(circuit, placer)
+                    .map(|(outcome, schedule)| (outcome, Some(schedule)))
+                    .map_err(LaneFailure::Demote)
+            })
+        });
         // Demote to SWAP routing over the interaction-radius device.
-        let movement_rungs = attempts.len();
-        match FallbackLadder::standard(config.clone()).map(circuit, &self.device) {
-            Ok(mut outcome) => {
-                outcome.report.fallback_rung += movement_rungs;
-                Ok((outcome, None))
-            }
-            Err(error) => {
-                attempts.extend(error.attempts);
-                Err(LadderError {
-                    attempts,
-                    unsatisfiable: error.unsatisfiable,
-                })
-            }
-        }
+        let ladder = FallbackLadder::standard(config.clone());
+        let swap = ladder
+            .lanes(circuit, &self.device)
+            .map(|lane| lane.map(|outcome| (outcome, None)));
+        let (rung, (mut outcome, schedule)) = lanes::sequential(movement.chain(swap))?;
+        outcome.report.fallback_rung = rung;
+        Ok((outcome, schedule))
     }
 
     /// One movement rung: place with the named strategy, plan moves,
     /// assemble the outcome, verify. Any failure (as a one-line
-    /// message) demotes the rung.
+    /// message) demotes the rung — an unsatisfiable plan included.
     fn movement_rung(
         &self,
         circuit: &Circuit,
         placer_name: &str,
-        rung: usize,
     ) -> Result<(MapOutcome, MoveSchedule), String> {
         let micros_since = |start: Instant| start.elapsed().as_secs_f64() * 1e6;
         let placer = build_placer(placer_name).map_err(|e| e.to_string())?;
@@ -218,7 +197,7 @@ impl DpqaBackend {
                 0.0
             },
             makespan_ns: schedule.makespan_ns,
-            fallback_rung: rung,
+            fallback_rung: 0,
             verified: false,
             timing: StageTiming {
                 decompose_micros,
@@ -268,17 +247,6 @@ impl Backend for DpqaBackend {
             grid: self.grid,
             device: self.device.degrade(health)?,
         }))
-    }
-}
-
-/// Renders a caught panic payload into a one-line message.
-fn panic_message(panic: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = panic.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = panic.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_string()
     }
 }
 
@@ -340,6 +308,39 @@ mod tests {
         assert_ne!(outcome.report.router, MOVE_ROUTER);
         assert_eq!(outcome.report.moves_inserted, 0);
         assert!(outcome.report.verified);
+    }
+
+    #[test]
+    fn too_wide_circuit_lists_movement_then_swap_attempts() {
+        // 10 qubits on a 9-site array: both movement rungs demote, then
+        // the four standard SWAP rungs fail the same way. Width is not
+        // an unsatisfiable device, so every rung is tried.
+        let backend = DpqaBackend::new(3, 3).unwrap();
+        let err = backend
+            .compile_with_schedule(&Circuit::new(10), &MapperConfig::default())
+            .unwrap_err();
+        assert!(!err.unsatisfiable);
+        let got: Vec<(&str, &str, &str)> = err
+            .attempts
+            .iter()
+            .map(|a| (a.placer.as_str(), a.router.as_str(), a.error.as_str()))
+            .collect();
+        let moved = "circuit needs 10 qubits, device has 9";
+        let place = "placement failed: circuit needs 10 qubits, device has 9";
+        assert_eq!(
+            got,
+            [
+                ("graph-similarity", MOVE_ROUTER, moved),
+                ("trivial", MOVE_ROUTER, moved),
+                ("graph-similarity", "lookahead", place),
+                ("sabre", "lookahead", place),
+                ("subgraph", "lookahead", place),
+                ("trivial", "trivial", place),
+            ]
+        );
+        assert!(err
+            .to_string()
+            .starts_with("all 6 ladder rungs failed: [0] graph-similarity/dpqa-move: "));
     }
 
     #[test]

@@ -48,6 +48,9 @@
 //!                                # exits nonzero if any request finally fails
 //! ```
 //!
+//! Any other argument prints usage and exits 2 without running, so a
+//! mistyped `--check` can never re-record `BENCH_serve.json`.
+//!
 //! The external modes exist for apples-to-apples A/B runs against
 //! separately started servers (e.g. an old binary), so architecture
 //! changes can be quantified with the identical load schedule.
@@ -88,8 +91,44 @@ const SWEEP: [usize; 3] = [1, 2, 3];
 /// Base seed for the per-client arrival schedules.
 const SEED: u64 = 0xC0FFEE;
 
+const USAGE: &str = "usage: bench_load [--check] [--near-dup-frac F]
+       bench_load --sustained HOST:PORT
+       bench_load --interactive HOST:PORT
+       bench_load --chaos HOST:PORT [--seconds N] [--seed S]
+  (no flags)         re-record BENCH_serve.json in CWD
+  --check            fresh run, compare against the committed file
+  --near-dup-frac F  near-duplicate share of the semantic mix (default 0.5)
+  --help             print this message";
+
+/// Flags followed by a value.
+const VALUE_FLAGS: &[&str] = &[
+    "--sustained",
+    "--interactive",
+    "--chaos",
+    "--seconds",
+    "--seed",
+    "--near-dup-frac",
+];
+
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().collect();
+    let mut rest = args.iter().skip(1);
+    while let Some(arg) = rest.next() {
+        match arg.as_str() {
+            "--check" => {}
+            "--help" => {
+                println!("{USAGE}");
+                return ExitCode::SUCCESS;
+            }
+            flag if VALUE_FLAGS.contains(&flag) => {
+                rest.next();
+            }
+            other => {
+                eprintln!("bench_load: unknown argument '{other}'\n{USAGE}");
+                return ExitCode::from(2);
+            }
+        }
+    }
     if let Some(i) = args.iter().position(|a| a == "--sustained") {
         let Some(addr) = args.get(i + 1) else {
             eprintln!("usage: bench_load --sustained HOST:PORT");

@@ -56,6 +56,7 @@ use qcs_faults::Hit;
 use qcs_circuit::canon::CanonConfig;
 use qcs_circuit::hash::circuit_digest;
 use qcs_circuit::qasm;
+use qcs_core::lanes::isolated;
 use qcs_rng::SeedableRng;
 
 use crate::cache::{CanonicalHit, CanonicalInfo, ResultCache};
@@ -135,17 +136,6 @@ pub(crate) fn lock_recovering<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
     mutex
         .lock()
         .unwrap_or_else(|poisoned| poisoned.into_inner())
-}
-
-/// Renders a caught panic payload into a one-line message.
-fn panic_message(panic: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = panic.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = panic.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_string()
-    }
 }
 
 /// Per-stage cold-compile histograms for one `placer/router` pipeline.
@@ -605,7 +595,7 @@ fn worker_loop(shared: &Shared) {
         // Belt and braces: the per-job catch in `respond_compile` should
         // make this outer catch unreachable, but a worker must never die
         // — it would strand every connection whose jobs it was serving.
-        let response = std::panic::catch_unwind(AssertUnwindSafe(|| match &item.request {
+        let response = isolated(|| match &item.request {
             Request::Compile(request) => respond_compile(shared, request),
             Request::CompileSuite(request) => respond_suite(shared, request),
             // Control requests are answered inline by the event loops
@@ -615,15 +605,12 @@ fn worker_loop(shared: &Shared) {
                     .to_compact_string()
                     .into_bytes()
             }
-        }))
-        .unwrap_or_else(|panic| {
+        })
+        .unwrap_or_else(|message| {
             shared.jobs_panicked.fetch_add(1, Ordering::SeqCst);
-            error_response(format!(
-                "request handler panicked: {}",
-                panic_message(panic.as_ref())
-            ))
-            .to_compact_string()
-            .into_bytes()
+            error_response(format!("request handler panicked: {message}"))
+                .to_compact_string()
+                .into_bytes()
         });
         if let Some(event_loop) = shared.event_loops().get(item.loop_idx) {
             event_loop.complete(item.token, response);
@@ -1076,8 +1063,7 @@ fn respond_compile(shared: &Shared, request: &CompileRequest) -> Vec<u8> {
     // injected failpoint — becomes a structured error frame on this one
     // connection. The worker, the job queue and the cache all survive,
     // and the shared locks recover from any poisoning the unwind caused.
-    let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| compile_via_cache(shared, request)));
-    match outcome {
+    match isolated(|| compile_via_cache(shared, request)) {
         Ok(Ok(payload)) => match &request.request_id {
             Some(id) => payload_with_request_id(&payload, id),
             None => payload.as_ref().clone(),
@@ -1085,9 +1071,9 @@ fn respond_compile(shared: &Shared, request: &CompileRequest) -> Vec<u8> {
         Ok(Err(err)) => tag_request_id(err.response(), &request.request_id)
             .to_compact_string()
             .into_bytes(),
-        Err(panic) => {
+        Err(message) => {
             shared.jobs_panicked.fetch_add(1, Ordering::SeqCst);
-            let message = format!("compilation panicked: {}", panic_message(panic.as_ref()));
+            let message = format!("compilation panicked: {message}");
             tag_request_id(error_response(message), &request.request_id)
                 .to_compact_string()
                 .into_bytes()
@@ -1137,7 +1123,7 @@ fn respond_suite(shared: &Shared, request: &SuiteRequest) -> Vec<u8> {
                 // Same panic isolation as the single-compile path: one
                 // panicking benchmark yields one error row, not a dead
                 // batch engine.
-                match std::panic::catch_unwind(AssertUnwindSafe(|| run_job(&job))) {
+                match isolated(|| run_job(&job)) {
                     Ok(Ok(output)) => {
                         let payload = Arc::new(output.payload);
                         // Suite jobs run unbounded, so portfolio results
@@ -1157,12 +1143,9 @@ fn respond_suite(shared: &Shared, request: &SuiteRequest) -> Vec<u8> {
                         Ok(payload)
                     }
                     Ok(Err(e)) => Err(e.to_string()),
-                    Err(panic) => {
+                    Err(message) => {
                         shared.jobs_panicked.fetch_add(1, Ordering::SeqCst);
-                        Err(format!(
-                            "compilation panicked: {}",
-                            panic_message(panic.as_ref())
-                        ))
+                        Err(format!("compilation panicked: {message}"))
                     }
                 }
             }
